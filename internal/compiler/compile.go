@@ -30,7 +30,7 @@ type Config struct {
 	// CP-placed elementwise/unary/scalar ops collapse into single fused
 	// instructions executed as one loop with zero intermediate matrices.
 	// Results are bitwise-identical with fusion on or off; the flag joins
-	// the serving layer's compile-cache key via the config fold.
+	// the block-store key via the config fold.
 	Fusion bool
 
 	// Estimator, when non-nil, switches operator placement from the

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"memphis/internal/core"
@@ -372,6 +373,28 @@ func TestInjectLoopCheckpoints(t *testing.T) {
 	}
 	if len(vars) != 2 || vars[0] != "G" || vars[1] != "W" {
 		t.Fatalf("checkpointed vars = %v", vars)
+	}
+}
+
+// TestRewriteOnce: the program-level rewrites are not idempotent (each
+// InjectLoopCheckpoints pass appends another checkpoint block), so Rewrite
+// must apply them once per program, also when sessions race on it.
+func TestRewriteOnce(t *testing.T) {
+	prog := ir.NewProgram()
+	loop := ir.ForRange("i", 3, ir.BB(ir.Assign("W", ir.Mul(ir.Var("W"), ir.Lit(2)))))
+	prog.Main = []ir.Block{loop}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			Rewrite(prog)
+		}()
+	}
+	wg.Wait()
+	Rewrite(prog)
+	if len(loop.Body) != 2 {
+		t.Fatalf("loop body has %d blocks after repeated Rewrite, want 2 (body + one checkpoint)", len(loop.Body))
 	}
 }
 

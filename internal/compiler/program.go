@@ -7,6 +7,19 @@ import (
 	"memphis/internal/ir"
 )
 
+// Rewrite applies MEMPHIS's program-level rewrites — delay-factor
+// auto-tuning, loop checkpoints, and eviction injection (§5.2) — once per
+// program object. They mutate p and are not idempotent (every pass appends
+// another checkpoint block), so a program run repeatedly, by one session or
+// by many server requests, is rewritten only before its first run.
+func Rewrite(p *ir.Program) {
+	p.RewriteOnce(func(p *ir.Program) {
+		AutoTune(p)
+		InjectLoopCheckpoints(p)
+		InjectEvictions(p)
+	})
+}
+
 // AutoTune implements the automatic parameter tuning rewrite (§5.2,
 // Figure 10): it recursively traverses program blocks, analyzes which
 // statements are loop-iteration-dependent (not reusable), and stores a

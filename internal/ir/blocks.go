@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Stmt assigns the value of Expr to Targets. Ordinary statements have one
 // target; function calls (Op "call") may have several.
@@ -82,6 +85,15 @@ type Program struct {
 	Funcs  map[string]*Function
 	Main   []Block
 	Source string
+
+	rewrite sync.Once // see RewriteOnce
+}
+
+// RewriteOnce runs rewrite on p the first time it is called and never
+// again: program-level rewrites mutate the program and are not idempotent.
+// Concurrent callers wait until the first call has finished.
+func (p *Program) RewriteOnce(rewrite func(*Program)) {
+	p.rewrite.Do(func() { rewrite(p) })
 }
 
 // NewProgram returns an empty program.

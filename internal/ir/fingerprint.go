@@ -47,7 +47,7 @@ func (p *Program) Fingerprint() uint64 {
 // FingerprintBlock returns a structural hash of one block (statements,
 // operators, attributes, reuse-parameter headers, nested bodies), with the
 // same DAG-memoized node identity as Program.Fingerprint. It is the
-// per-block component of the serving layer's compile-cache key.
+// per-block component of the block-store key (runtime.Context.blockKey).
 func FingerprintBlock(b Block) uint64 {
 	h := fnv.New64a()
 	fp := &fingerprinter{h: h, ids: make(map[*Node]int)}

@@ -192,12 +192,15 @@ type Context struct {
 	Shared SharedCache
 	Tenant string
 
-	// compCache is the optional cross-session compiled-plan cache
-	// (AttachCompileCache); progKey identifies the submitted program and
-	// bbKeys memoizes per-block key components.
-	compCache CompileCache
-	progKey   uint64
-	bbKeys    map[*ir.BasicBlock]blockKeyParts
+	// blocks is the store every basic block compiles through: private to
+	// the context (program key 0) unless AttachCompileCache swaps in a
+	// shared one. progKey identifies the submitted program, bbKeys
+	// memoizes per-block key components, and condBlocks holds the block
+	// evaluating each while/if condition.
+	blocks     *BlockStore
+	progKey    uint64
+	bbKeys     map[*ir.BasicBlock]blockKeyParts
+	condBlocks map[*ir.Node]*ir.BasicBlock
 
 	vars map[string]*Value
 	prog *ir.Program
@@ -258,6 +261,10 @@ func New(conf Config) *Context {
 		LMap:  lineage.NewMap(),
 		Conf:  conf,
 		vars:  make(map[string]*Value),
+
+		blocks:     &BlockStore{},
+		bbKeys:     make(map[*ir.BasicBlock]blockKeyParts),
+		condBlocks: make(map[*ir.Node]*ir.BasicBlock),
 	}
 	if conf.Spark.NumExecutors > 0 {
 		ctx.SC = spark.NewContext(clock, model, conf.Spark)
@@ -296,8 +303,8 @@ func New(conf Config) *Context {
 	if conf.Adaptive {
 		ctx.cal = costs.NewCalibration(model)
 		ctx.reuse = lineage.NewReuseStats()
-		// The calibration is the compiler's placement estimator; blocks
-		// recompile per execution, so placement tracks the latest epoch.
+		// The calibration is the compiler's placement estimator; its epoch
+		// folds into block keys, so placement tracks the latest epoch.
 		ctx.Conf.Compiler.Estimator = ctx.cal
 	}
 	if conf.Faults != nil {

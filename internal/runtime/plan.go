@@ -11,11 +11,9 @@ import (
 )
 
 // planRecord is the runtime's per-stream planning state: one record per
-// distinct compiled stream signature. Because planning is a pure function
-// of the stream and the budget, the record caches the plan and the
-// rewritten stream; repeated executions (loop iterations recompile to the
-// same stream once shapes stabilize) reuse both and accumulate runtime
-// observations.
+// distinct compiled stream signature, holding the stored block's plan and
+// rewritten stream and accumulating runtime observations across
+// executions.
 type planRecord struct {
 	seq   int
 	sig   uint64
@@ -79,22 +77,22 @@ func streamSig(insts []compiler.Instruction) uint64 {
 	return h.Sum64()
 }
 
-// planBlock plans one compiled stream, reusing the record of a previously
-// seen signature. It returns the plan, the (possibly rewritten) stream to
-// execute, and the record accumulating runtime observations.
-func (ctx *Context) planBlock(insts []compiler.Instruction) (*memplan.Plan, []compiler.Instruction, *planRecord) {
+// planBlock returns the session's plan record for a stored block. The plan
+// and rewritten stream come from the block (planned once at store time);
+// records are keyed by stream signature, so blocks compiling to the same
+// stream (the common case across loop iterations) accumulate runtime
+// observations in one record.
+func (ctx *Context) planBlock(cb *CompiledBlock) *planRecord {
+	if rec, ok := ctx.planRecs[cb.Sig]; ok {
+		return rec
+	}
 	if ctx.planRecs == nil {
 		ctx.planRecs = make(map[uint64]*planRecord)
 	}
-	sig := streamSig(insts)
-	if rec, ok := ctx.planRecs[sig]; ok {
-		return rec.plan, rec.insts, rec
-	}
-	rewritten, plan := memplan.Apply(insts, *ctx.Conf.MemPlan)
-	rec := &planRecord{seq: len(ctx.planOrder), sig: sig, plan: plan, insts: rewritten}
-	ctx.planRecs[sig] = rec
-	ctx.planOrder = append(ctx.planOrder, sig)
-	return plan, rewritten, rec
+	rec := &planRecord{seq: len(ctx.planOrder), sig: cb.Sig, plan: cb.Plan, insts: cb.Planned}
+	ctx.planRecs[cb.Sig] = rec
+	ctx.planOrder = append(ctx.planOrder, cb.Sig)
+	return rec
 }
 
 // predictEvictions adds the planner's minimum-eviction estimate for one run

@@ -35,31 +35,38 @@ func TestStreamSigDistinguishesAttrs(t *testing.T) {
 
 // TestPlannerDistinguishesSliceBlocks executes the aliasing scenario end to
 // end: two blocks whose compiled streams are identical — same op, operands,
-// output name, and shapes — except for the slice attrs. The plan cache
-// persists on the context across programs, so with the planner on each
-// block must still run its own stream; a signature collision would replay
-// the first block's slice bounds for the second.
+// output name, and shapes — except for the slice attrs. The block store and
+// the plan records persist on the context across programs, so with the
+// planner on or off each block must still run its own stream; a key or
+// signature collision would replay the first block's slice bounds for the
+// second.
 func TestPlannerDistinguishesSliceBlocks(t *testing.T) {
-	cfg := testConfig(ReuseNone)
-	cfg.MemPlan = &memplan.Config{Budget: 1 << 20}
-	ctx := New(cfg)
-	defer ctx.Close()
-	ctx.BindHost("X", data.FromSlice(6, 1, []float64{1, 2, 3, 4, 5, 6}))
+	for _, plan := range []*memplan.Config{{Budget: 1 << 20}, nil} {
+		cfg := testConfig(ReuseNone)
+		cfg.MemPlan = plan
+		ctx := New(cfg)
+		ctx.BindHost("X", data.FromSlice(6, 1, []float64{1, 2, 3, 4, 5, 6}))
 
-	run := func(r0, r1 int) float64 {
-		prog := ir.NewProgram()
-		prog.Main = []ir.Block{
-			ir.BB(ir.Assign("s", ir.Sum(ir.Slice(ir.Var("X"), r0, r1, 0, -1)))),
+		run := func(r0, r1 int) float64 {
+			prog := ir.NewProgram()
+			prog.Main = []ir.Block{
+				ir.BB(ir.Assign("s", ir.Sum(ir.Slice(ir.Var("X"), r0, r1, 0, -1)))),
+			}
+			if err := ctx.RunProgram(prog); err != nil {
+				t.Fatal(err)
+			}
+			return ctx.ensureHost(ctx.Var("s")).ScalarValue()
 		}
-		if err := ctx.RunProgram(prog); err != nil {
-			t.Fatal(err)
+		if got := run(0, 3); got != 6 {
+			t.Errorf("planner=%v: sum(X[0:3]) = %g, want 6", plan != nil, got)
 		}
-		return ctx.ensureHost(ctx.Var("s")).ScalarValue()
-	}
-	if got := run(0, 3); got != 6 {
-		t.Errorf("sum(X[0:3]) = %g, want 6", got)
-	}
-	if got := run(3, 6); got != 15 {
-		t.Errorf("sum(X[3:6]) = %g, want 15 (signature collision replays the first block's slice)", got)
+		if got := run(3, 6); got != 15 {
+			t.Errorf("planner=%v: sum(X[3:6]) = %g, want 15 (a collision replays the first block's slice)",
+				plan != nil, got)
+		}
+		if got := run(0, 3); got != 6 {
+			t.Errorf("planner=%v: rerun sum(X[0:3]) = %g, want 6", plan != nil, got)
+		}
+		ctx.Close()
 	}
 }

@@ -8,13 +8,13 @@ import (
 	"memphis/internal/core"
 	"memphis/internal/ir"
 	"memphis/internal/lineage"
-	"memphis/internal/memplan"
 	"memphis/internal/spark"
 )
 
-// RunProgram interprets a program: every basic block is dynamically
-// recompiled against the current variable sizes, then executed instruction
-// by instruction through the reuse path.
+// RunProgram interprets a program: every basic block is compiled against
+// the current variable sizes — once per (block, read shapes, config), via
+// the block store — then executed instruction by instruction through the
+// reuse path.
 //
 // A Spark stage abort (a task exceeding its attempt limit under fault
 // injection) unwinds the RDD evaluation as an ErrStageAbort panic; it is
@@ -91,40 +91,29 @@ func (ctx *Context) runBlocks(blocks []ir.Block) error {
 	return nil
 }
 
-// runBasicBlock recompiles and executes one basic block, applying the
+// runBasicBlock executes one basic block, compiled against the current
+// variable shapes through the session's block store, applying the
 // block-header reuse parameters (§5.2) and clearing temporaries afterwards.
-// With a memory planner configured, the compiled stream is planned first:
-// the (possibly rewritten) stream executes under the plan, lifetime hints
-// are stamped per position, and measured evictions are attributed back to
-// the stream's record. Plan state is saved and restored around the block
-// because function calls and scalar-condition evaluation recurse here.
+// With a memory planner configured, the (possibly rewritten) stream
+// executes under its plan, lifetime hints are stamped per position, and
+// measured evictions are attributed back to the stream's record. Plan state
+// is saved and restored around the block because function calls and
+// scalar-condition evaluation recurse here.
 func (ctx *Context) runBasicBlock(bb *ir.BasicBlock) error {
-	var insts []compiler.Instruction
-	var cb *CompiledBlock
-	if ctx.compCache != nil {
-		cb = ctx.compiledBlock(bb)
-		insts = cb.Insts
-	} else {
-		insts = compiler.CompileBlock(bb, ctx.shapes(), ctx.Conf.Compiler)
-	}
+	cb := ctx.compiledBlock(bb)
+	insts := cb.Planned
 	savedPlan, savedPos := ctx.activePlan, ctx.planPos
 	var rec *planRecord
 	var evictBefore int64
 	if ctx.Conf.MemPlan != nil {
-		var plan *memplan.Plan
-		if cb != nil {
-			plan, insts, rec = ctx.planBlockPre(cb)
-		} else {
-			plan, insts, rec = ctx.planBlock(insts)
-		}
-		ctx.activePlan = plan
+		rec = ctx.planBlock(cb)
+		insts = rec.insts
+		ctx.activePlan = rec.plan
 		ctx.planPos = 0
 		ctx.Cache.BeginPlanEpoch()
 		ctx.Stats.PlanBlocks++
 		ctx.predictEvictions(rec)
 		evictBefore = ctx.Cache.Stats.EvictionsCP
-	} else if cb != nil {
-		insts = cb.Planned
 	}
 	prevDelay, prevLevel := ctx.delayFactor, ctx.storageLevel
 	ctx.delayFactor = bb.DelayFactor
@@ -180,9 +169,15 @@ func (ctx *Context) bindLoopVar(name string, val float64) {
 	}
 }
 
-// evalScalar evaluates a scalar condition expression.
+// evalScalar evaluates a scalar condition expression. The block assigning
+// it is built once per condition node, so every evaluation reuses the same
+// block-key memo entry and, while shapes hold, the same stored block.
 func (ctx *Context) evalScalar(cond *ir.Node) (float64, error) {
-	bb := ir.BB(ir.Assign("_cond", cond))
+	bb, ok := ctx.condBlocks[cond]
+	if !ok {
+		bb = ir.BB(ir.Assign("_cond", cond))
+		ctx.condBlocks[cond] = bb
+	}
 	if err := ctx.runBasicBlock(bb); err != nil {
 		return 0, err
 	}

@@ -7,9 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"memphis/internal/compiler"
 	"memphis/internal/data"
 	"memphis/internal/faults"
 	"memphis/internal/runtime"
+	"memphis/internal/workloads"
 )
 
 // chaosRun runs a faulted serve workload mix: `n` tenants submit the same
@@ -84,18 +86,55 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 }
 
-// TestCompileCacheBitwiseProperty is the compile-cache acceptance property:
-// for every (worker count, fault plan) combination, switching the shared
-// compile cache on or off changes neither a single result bit nor a single
-// virtual latency. Compilation charges no virtual time and compiled streams
-// are pure functions of (program, shapes, config), so cached and uncached
-// executions are indistinguishable to tenants.
+// TestCompileCacheBitwiseProperty is the block-store acceptance property:
+// for every (worker count, fault plan) combination, requests executed
+// through the server-wide block store match, bit for bit in results and
+// virtual latency, a reference that runs each request on a standalone
+// session compiling through its own private store. Compilation charges no
+// virtual time and compiled streams are pure functions of (program,
+// shapes, config), so which session compiled a block is invisible to
+// tenants.
 func TestCompileCacheBitwiseProperty(t *testing.T) {
 	const n = 5
-	run := func(workers int, cache bool, plan *faults.Plan) ([]float64, []*data.Matrix) {
+	// standalone replays the server's request path: the n requests share
+	// inputs, so the server runs them in ticket order, and so does this
+	// loop — one runtime.New + RunProgram session per attempt against one
+	// shared lineage cache, with the server's fault and retry rules.
+	standalone := func(plan *faults.Plan) ([]float64, []*data.Matrix) {
+		conf := DefaultConfig()
+		shared := NewSharedCache(conf.Shared)
+		w := hcvWorkload()
+		compiler.Rewrite(w.Prog)
+		inputs := w.HostInputs()
+		vtimes := make([]float64, n)
+		vals := make([]*data.Matrix, n)
+		for i := range vtimes {
+			ticket := uint64(i + 1)
+			backoff := 0.0
+			for attempt := 0; vals[i] == nil; attempt++ {
+				if attempt > conf.MaxRetries {
+					t.Fatalf("reference request %d failed every attempt", i)
+				}
+				if !plan.FireAt(faults.ServeRequest, ticket, attempt) {
+					rc := conf.Runtime
+					rc.Faults = plan.ForRequest(ticket, attempt)
+					ctx := runtime.New(rc)
+					ctx.AttachShared(shared, fmt.Sprintf("t%d", i))
+					workloads.BindHostInputs(ctx, inputs)
+					if err := ctx.RunProgram(w.Prog); err == nil {
+						vtimes[i] = ctx.Clock.Now() + backoff
+						vals[i] = ctx.EnsureHostValue(ctx.Var("best"))
+					}
+					ctx.Close()
+				}
+				backoff += conf.RetryBackoff * float64(int64(1)<<uint(attempt))
+			}
+		}
+		return vtimes, vals
+	}
+	served := func(workers int, plan *faults.Plan) ([]float64, []*data.Matrix) {
 		conf := DefaultConfig()
 		conf.Workers = workers
-		conf.CompileCache = cache
 		conf.Faults = plan
 		srv := New(conf)
 		defer srv.Close()
@@ -114,7 +153,7 @@ func TestCompileCacheBitwiseProperty(t *testing.T) {
 		for i, f := range futs {
 			res, err := f.Wait()
 			if err != nil {
-				t.Fatalf("workers=%d cache=%v: request %d failed: %v", workers, cache, i, err)
+				t.Fatalf("workers=%d: request %d failed: %v", workers, i, err)
 			}
 			vtimes[i] = res.VirtualSeconds
 			vals[i] = res.Values["best"]
@@ -122,19 +161,17 @@ func TestCompileCacheBitwiseProperty(t *testing.T) {
 		return vtimes, vals
 	}
 	for _, plan := range []*faults.Plan{nil, faults.Default(42)} {
-		refV, refM := run(1, false, plan)
+		refV, refM := standalone(plan)
 		for _, workers := range []int{1, 4, 8} {
-			for _, cache := range []bool{false, true} {
-				v, m := run(workers, cache, plan)
-				for i := range v {
-					if v[i] != refV[i] {
-						t.Fatalf("chaos=%v workers=%d cache=%v: request %d vtime %v != reference %v",
-							plan != nil, workers, cache, i, v[i], refV[i])
-					}
-					if !data.AllClose(m[i], refM[i], 0) {
-						t.Fatalf("chaos=%v workers=%d cache=%v: request %d result differs bitwise",
-							plan != nil, workers, cache, i)
-					}
+			v, m := served(workers, plan)
+			for i := range v {
+				if v[i] != refV[i] {
+					t.Fatalf("chaos=%v workers=%d: request %d vtime %v != standalone %v",
+						plan != nil, workers, i, v[i], refV[i])
+				}
+				if !data.AllClose(m[i], refM[i], 0) {
+					t.Fatalf("chaos=%v workers=%d: request %d result differs bitwise from standalone",
+						plan != nil, workers, i)
 				}
 			}
 		}

@@ -82,16 +82,6 @@ type Config struct {
 	// so sessions recompute instead of failing.
 	DisabledShards []int
 
-	// CompileCache shares compiled (and memory-planned) instruction streams
-	// across all sessions: hot programs compile once per (program, shapes,
-	// compiler config, planner config) key and are reused read-only by every
-	// tenant. Compilation charges no virtual time, so results and virtual
-	// latencies are bitwise-identical with the cache on or off. Enabled by
-	// DefaultConfig.
-	CompileCache bool
-	// CompileShards is the compile cache's shard count (default 16).
-	CompileShards int
-
 	// Coalesce enables batched admission: a submission that resolves to the
 	// same compiled plan as a recent one — same program fingerprint, same
 	// input contents, same fetch set, no Bind hook — joins that request's
@@ -131,7 +121,6 @@ func DefaultConfig() Config {
 		Rewrite:      true,
 		MaxRetries:   2,
 		RetryBackoff: 0.05,
-		CompileCache: true,
 	}
 }
 
@@ -266,8 +255,13 @@ func (f *Future) Cancel() { f.req.srv.cancel(f.req) }
 type Server struct {
 	conf   Config
 	shared *SharedCache
-	cc     *CompileCache // nil when Config.CompileCache is off
-	model  *costs.Model  // coalesce fan-out copy charges
+	model  *costs.Model // coalesce fan-out copy charges
+
+	// blocks is the server-wide compiled-block store every request session
+	// attaches to: hot programs compile, auto-tune, and memory-plan once
+	// per (program, shapes, compiler config, planner config) key and are
+	// executed read-only by every tenant.
+	blocks *runtime.BlockStore
 
 	mu           sync.Mutex
 	cond         *sync.Cond
@@ -279,7 +273,6 @@ type Server struct {
 	tenantLoad   map[string]int  // queued+running per tenant (admission)
 	service      map[string]float64
 	weight       map[string]float64
-	rewritten    map[*ir.Program]struct{}
 	progKeys     map[*ir.Program]uint64
 	groups       map[uint64]*coalesceGroup // coalesce key -> latest group
 	nextTicket   uint64
@@ -337,19 +330,16 @@ func New(conf Config) *Server {
 		conf:         conf,
 		shared:       NewSharedCache(conf.Shared),
 		model:        model,
+		blocks:       &runtime.BlockStore{},
 		running:      make(map[uint64]int),
 		tenantActive: make(map[string]bool),
 		tenantLoad:   make(map[string]int),
 		service:      make(map[string]float64),
 		weight:       make(map[string]float64),
-		rewritten:    make(map[*ir.Program]struct{}),
 		progKeys:     make(map[*ir.Program]uint64),
 		groups:       make(map[uint64]*coalesceGroup),
 		faultCounts:  make(map[string]int64),
 		start:        time.Now(),
-	}
-	if conf.CompileCache {
-		s.cc = NewCompileCache(conf.CompileShards)
 	}
 	for _, idx := range conf.DisabledShards {
 		s.shared.SetShardEnabled(idx, false)
@@ -395,22 +385,8 @@ func conflictKeys(inputs map[string]*data.Matrix) []uint64 {
 	return keys
 }
 
-// rewriteLocked applies MEMPHIS's program-level rewrites exactly once per
-// program object, before any worker can run it (the rewrites mutate the
-// ir.Program and are not idempotent). Caller holds s.mu.
-func (s *Server) rewriteLocked(prog *ir.Program) {
-	if s.conf.Rewrite && s.conf.Runtime.Mode == runtime.ReuseMemphis {
-		if _, done := s.rewritten[prog]; !done {
-			compiler.AutoTune(prog)
-			compiler.InjectLoopCheckpoints(prog)
-			compiler.InjectEvictions(prog)
-			s.rewritten[prog] = struct{}{}
-		}
-	}
-}
-
 // progKeyLocked memoizes the program fingerprint per program object. It
-// must run after rewriteLocked: source-backed programs key on their raw
+// must run after compiler.Rewrite: source-backed programs key on their raw
 // text, but programmatically built ones key on post-rewrite structure, and
 // same-structure programs rewrite identically, so equal sources always
 // yield equal keys. Caller holds s.mu.
@@ -470,13 +446,14 @@ func (s *Server) Submit(tenant string, prog *ir.Program, opts SubmitOptions) (*F
 	if s.closed {
 		return nil, ErrClosed
 	}
+	// Rewrite before any worker can run the program.
+	if s.conf.Rewrite && s.conf.Runtime.Mode == runtime.ReuseMemphis {
+		compiler.Rewrite(prog)
+	}
+	progKey := s.progKeyLocked(prog)
 	canCoalesce := s.conf.Coalesce && opts.Bind == nil && !opts.NoCoalesce
 	var keys []uint64
-	var progKey, coalKey uint64
-	if canCoalesce || s.cc != nil {
-		s.rewriteLocked(prog)
-		progKey = s.progKeyLocked(prog)
-	}
+	var coalKey uint64
 	if canCoalesce {
 		keys = conflictKeys(opts.Inputs)
 		coalKey = coalesceKey(progKey, keys, opts.Fetch)
@@ -530,10 +507,6 @@ func (s *Server) Submit(tenant string, prog *ir.Program, opts SubmitOptions) (*F
 	if s.tenantLoad[tenant] >= s.conf.MaxPerTenant {
 		s.rejected++
 		return nil, ErrTenantLimit
-	}
-	s.rewriteLocked(prog)
-	if s.cc != nil {
-		progKey = s.progKeyLocked(prog)
 	}
 	w := opts.Weight
 	if w <= 0 {
@@ -908,9 +881,7 @@ func (s *Server) runAttempt(req *request, attempt int) (res *Result, err error) 
 		}
 	}()
 	ctx.AttachShared(s.shared, req.tenant)
-	if s.cc != nil {
-		ctx.AttachCompileCache(s.cc, req.progKey)
-	}
+	ctx.AttachCompileCache(s.blocks, req.progKey)
 	names := make([]string, 0, len(req.opts.Inputs))
 	for n := range req.opts.Inputs {
 		names = append(names, n)
@@ -972,11 +943,11 @@ type Snapshot struct {
 	Canceled  int64 `json:"canceled,omitempty"`
 	// WallSeconds and Throughput are real-time aggregates; virtual times
 	// stay per-session and deterministic.
-	WallSeconds             float64            `json:"wall_seconds"`
-	Throughput              float64            `json:"throughput_rps"`
-	AggregateVirtualSeconds float64            `json:"aggregate_virtual_seconds"`
-	Shared                  SharedStats        `json:"shared"`
-	CompileCache            *CompileCacheStats `json:"compile_cache,omitempty"`
+	WallSeconds             float64                  `json:"wall_seconds"`
+	Throughput              float64                  `json:"throughput_rps"`
+	AggregateVirtualSeconds float64                  `json:"aggregate_virtual_seconds"`
+	Shared                  SharedStats              `json:"shared"`
+	CompileCache            *runtime.BlockStoreStats `json:"compile_cache,omitempty"`
 }
 
 // Snapshot returns current queue, throughput, and shared-cache statistics.
@@ -1008,10 +979,8 @@ func (s *Server) Snapshot() Snapshot {
 		snap.Throughput = float64(snap.Completed) / snap.WallSeconds
 	}
 	snap.Shared = s.shared.StatsSnapshot()
-	if s.cc != nil {
-		st := s.cc.StatsSnapshot()
-		snap.CompileCache = &st
-	}
+	st := s.blocks.StatsSnapshot()
+	snap.CompileCache = &st
 	return snap
 }
 

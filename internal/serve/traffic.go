@@ -13,8 +13,8 @@ import (
 
 // This file is the deterministic SLO traffic bench: a seeded, Zipf-skewed,
 // bursty multi-tenant request stream served at two scales. A *real* phase
-// drives a few hundred requests through an actual Server (coalescing and
-// the compile cache on) and measures per-class steady-state virtual service
+// drives a few hundred requests through an actual Server (coalescing on,
+// one shared compile cache) and measures per-class steady-state virtual service
 // times; a *virtual* phase then replays 10^5+ arrivals through a
 // discrete-event admission simulation parameterized by those measurements.
 // Every number in the TrafficReport is a pure function of the seed and the
@@ -180,7 +180,7 @@ func (z *zipfSampler) draw(u float64) int { return sort.SearchFloat64s(z.cdf, u)
 // RunTraffic executes the traffic bench. The supplied server Config is used
 // as the template for the real phase with every nondeterministic admission
 // knob forced off (no fault plan, no deadline, no shed threshold) and
-// coalescing plus the compile cache forced on; admission limits are raised
+// coalescing forced on; admission limits are raised
 // so the measured phase never rejects (rejections would depend on drain
 // timing). The caller's scheduler, worker count, budgets, and runtime
 // template are honored.
@@ -272,7 +272,6 @@ func RunTraffic(conf Config, tc TrafficConfig) (*TrafficReport, error) {
 // the server's final snapshot.
 func trafficMeasure(conf Config, tc TrafficConfig) (service, copyCost []float64, snap Snapshot, failed int64, err error) {
 	conf.Coalesce = true
-	conf.CompileCache = true
 	conf.Faults = nil
 	conf.Deadline = 0
 	conf.ShedThreshold = 0

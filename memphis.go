@@ -312,16 +312,15 @@ func (s *Session) Bind(name string, m *Matrix) { s.ctx.BindHost(name, m) }
 
 // Run compiles and executes a program, applying MEMPHIS's program-level
 // rewrites (checkpoint placement, delay-factor tuning, eviction injection)
-// when full reuse is enabled. Programs may be run repeatedly; the lineage
-// cache persists across runs within the session.
+// once per program when full reuse is enabled. Programs may be run
+// repeatedly; the lineage cache and the compiled blocks persist across runs
+// within the session.
 func (s *Session) Run(p *ir.Program) error {
 	if s.optErr != nil {
 		return s.optErr
 	}
 	if s.opts.Reuse == ReuseFull {
-		compiler.AutoTune(p)
-		compiler.InjectLoopCheckpoints(p)
-		compiler.InjectEvictions(p)
+		compiler.Rewrite(p)
 	}
 	return s.ctx.RunProgram(p)
 }
@@ -521,13 +520,6 @@ type ServerOptions struct {
 	// serve.ErrOverloaded once the queue reaches this depth.
 	ShedThreshold int
 
-	// DisableCompileCache turns off the cross-tenant compiled-plan cache
-	// (on by default: hot programs compile, auto-tune, and memory-plan
-	// once per (program, shapes, config) key and are reused read-only by
-	// every session; results and virtual latencies are unaffected).
-	// CompileShards sizes its lock-shard count (default 16).
-	DisableCompileCache bool
-	CompileShards       int
 	// Coalesce enables batched admission: submissions resolving to the
 	// same compiled plan over the same inputs and fetch set join the
 	// in-flight request's coalesce group — one execution fans out
@@ -590,10 +582,6 @@ func NewServer(opts ServerOptions) *Server {
 	}
 	conf.ShedThreshold = opts.ShedThreshold
 	conf.DisabledShards = opts.DisabledShards
-	conf.CompileCache = !opts.DisableCompileCache
-	if opts.CompileShards > 0 {
-		conf.CompileShards = opts.CompileShards
-	}
 	conf.Coalesce = opts.Coalesce
 	if opts.CoalesceWindow > 0 {
 		conf.CoalesceWindow = opts.CoalesceWindow

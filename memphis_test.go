@@ -6,6 +6,7 @@ import (
 	"memphis/internal/data"
 	"memphis/internal/faults"
 	"memphis/internal/ir"
+	"memphis/internal/workloads"
 )
 
 // ridgeProgram is a small grid over a reusable gram matrix.
@@ -335,5 +336,53 @@ func TestMemoryBudgetsAndStats(t *testing.T) {
 	}
 	if pools[2].Budget != 32<<20 {
 		t.Fatalf("spark budget = %d, want MemoryBudgets.Spark", pools[2].Budget)
+	}
+}
+
+// TestSessionRunRewritesOnce: the ReuseFull program-level rewrites mutate
+// the program and are not idempotent, so running one program three times on
+// one session must rewrite it once — the block count stays constant — and
+// every run over the same inputs must fetch bitwise-equal outputs.
+func TestSessionRunRewritesOnce(t *testing.T) {
+	w := workloads.PNMF(300, 60, 8, 5, 1)
+	s := New(Options{Reuse: ReuseFull})
+	defer s.Close()
+	countBlocks := func() int {
+		n := 0
+		ir.Walk(w.Prog.Main, func(ir.Block) { n++ })
+		return n
+	}
+	var blocks int
+	var first map[string]*Matrix
+	for run := 0; run < 3; run++ {
+		for name, m := range w.HostInputs() {
+			s.Bind(name, m)
+		}
+		if err := s.Run(w.Prog); err != nil {
+			t.Fatal(err)
+		}
+		n := countBlocks()
+		if run == 0 {
+			blocks = n
+		} else if n != blocks {
+			t.Fatalf("run %d: program has %d blocks, want %d (rewrites re-applied)", run, n, blocks)
+		}
+		out := map[string]*Matrix{}
+		for _, name := range []string{"W", "H", "obj"} {
+			m, err := s.Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[name] = m
+		}
+		if run == 0 {
+			first = out
+			continue
+		}
+		for name, m := range out {
+			if !data.AllClose(m, first[name], 0) {
+				t.Fatalf("run %d: %s differs bitwise from the first run", run, name)
+			}
+		}
 	}
 }
