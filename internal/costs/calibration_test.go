@@ -168,28 +168,6 @@ func TestCalibrationReportRows(t *testing.T) {
 	}
 }
 
-func TestModelValidate(t *testing.T) {
-	if err := Default().Validate(); err != nil {
-		t.Fatalf("default model invalid: %v", err)
-	}
-	for _, tc := range []struct {
-		name   string
-		mutate func(*Model)
-	}{
-		{"zero CPUFlops", func(m *Model) { m.CPUFlops = 0 }},
-		{"negative Probe", func(m *Model) { m.Probe = -1e-6 }},
-		{"NaN CollectBW", func(m *Model) { m.CollectBW = math.NaN() }},
-		{"Inf SparkJobOverhead", func(m *Model) { m.SparkJobOverhead = math.Inf(1) }},
-		{"zero SpillSetup", func(m *Model) { m.SpillSetup = 0 }},
-	} {
-		m := Default()
-		tc.mutate(m)
-		if err := m.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted an invalid model", tc.name)
-		}
-	}
-}
-
 func TestDeriveThresholdsAnchoredAtDefault(t *testing.T) {
 	th := DeriveThresholds(Default())
 	if th.OpMemBudget != 1<<20 {

@@ -356,6 +356,31 @@ func TestSharedCacheTenantBudgetEviction(t *testing.T) {
 	}
 }
 
+// TestSharedCacheDuplicatePublishKeepsEntries republishes a resident entry
+// while its tenant is at budget: the duplicate must be refused without
+// evicting anything, so the tenant's older entry stays resident.
+func TestSharedCacheDuplicatePublishKeepsEntries(t *testing.T) {
+	sc := NewSharedCache(SharedConfig{Shards: 4, Budget: 64 << 10, TenantBudget: 8 << 10})
+	m := data.RandNorm(32, 16, 0, 1, 3) // 4 KB
+	a := lineage.NewItem("tsmm", "", lineage.NewLeaf("read", "A"))
+	b := lineage.NewItem("tsmm", "", lineage.NewLeaf("read", "B"))
+	for i, item := range []*lineage.Item{a, b} {
+		if _, stored := sc.Publish("t", item, uint64(i+1), m, 1.0); !stored {
+			t.Fatalf("publish %d rejected", i)
+		}
+	}
+	if _, stored := sc.Publish("t", b, 2, m, 1.0); stored {
+		t.Fatal("duplicate publish of a resident entry must not store")
+	}
+	st := sc.StatsSnapshot()
+	if st.Evictions != 0 || st.Entries != 2 || sc.BytesStored() != 8<<10 {
+		t.Fatalf("evictions=%d entries=%d bytes=%d, want 0/2/8192", st.Evictions, st.Entries, sc.BytesStored())
+	}
+	if _, _, _, ok := sc.Probe("t", a, 1); !ok {
+		t.Fatal("a duplicate publish must not evict the tenant's older entry")
+	}
+}
+
 // TestSharedCacheGlobalBudget overcommits tenant budgets and checks the
 // global backstop evicts the globally oldest entry.
 func TestSharedCacheGlobalBudget(t *testing.T) {

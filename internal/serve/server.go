@@ -48,11 +48,6 @@ type Config struct {
 	// MaxPerTenant bounds one tenant's queued+running requests; Submit
 	// rejects with ErrTenantLimit beyond it (default 64).
 	MaxPerTenant int
-	// Rewrite applies MEMPHIS's program-level rewrites (auto-tuning,
-	// checkpoint and eviction injection) exactly once per program object
-	// before its first execution; programs may then be shared by many
-	// concurrent requests. Enabled by DefaultConfig.
-	Rewrite bool
 	// Shared sizes the cross-tenant cache.
 	Shared SharedConfig
 
@@ -118,7 +113,6 @@ func DefaultConfig() Config {
 		Workers:      4,
 		MaxQueue:     1024,
 		MaxPerTenant: 64,
-		Rewrite:      true,
 		MaxRetries:   2,
 		RetryBackoff: 0.05,
 	}
@@ -446,8 +440,11 @@ func (s *Server) Submit(tenant string, prog *ir.Program, opts SubmitOptions) (*F
 	if s.closed {
 		return nil, ErrClosed
 	}
-	// Rewrite before any worker can run the program.
-	if s.conf.Rewrite && s.conf.Runtime.Mode == runtime.ReuseMemphis {
+	// Under full MEMPHIS reuse, apply the program-level rewrites (auto-
+	// tuning, checkpoint and eviction injection) once per program object,
+	// before any worker can run it; programs may then be shared by many
+	// concurrent requests.
+	if s.conf.Runtime.Mode == runtime.ReuseMemphis {
 		compiler.Rewrite(prog)
 	}
 	progKey := s.progKeyLocked(prog)

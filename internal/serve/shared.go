@@ -306,13 +306,15 @@ func (s *SharedCache) Publish(tenant string, item *lineage.Item, sig uint64, m *
 	if size > s.conf.TenantBudget || size > s.conf.Budget {
 		return charge, false
 	}
-	// A degraded shard rejects the publish outright (same charge as any
-	// rejected put) before any budget eviction can disturb other entries.
-	sh0 := s.shardFor(shareKey(item, sig))
-	sh0.mu.Lock()
-	degraded := sh0.disabled
-	sh0.mu.Unlock()
-	if degraded {
+	// A degraded shard, or one that already holds the key, rejects the
+	// publish outright (same charge as any rejected put) before any budget
+	// eviction can disturb other entries.
+	key := shareKey(item, sig)
+	sh := s.shardFor(key)
+	sh.mu.Lock()
+	refused := sh.disabled || sh.cache.Lookup(key) != nil
+	sh.mu.Unlock()
+	if refused {
 		return charge, false
 	}
 	// Both budget checks are arbiter-driven MAKE_SPACE calls against the
@@ -339,10 +341,9 @@ func (s *SharedCache) Publish(tenant string, item *lineage.Item, sig uint64, m *
 			return charge, false
 		}
 	}
-	key := shareKey(item, sig)
-	sh := s.shardFor(key)
 	stored := m.Clone()
 	sh.mu.Lock()
+	// A concurrent publisher may have stored the key meanwhile.
 	if sh.cache.Lookup(key) != nil {
 		sh.mu.Unlock()
 		return charge, false

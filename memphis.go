@@ -64,22 +64,13 @@ const (
 type Options struct {
 	Reuse Reuse
 
-	// EnableGPU adds the simulated accelerator; GPUCapacity defaults to
-	// 48 MB (the paper's 48 GB at 1/1000 scale).
-	EnableGPU   bool
-	GPUCapacity int64
+	// EnableGPU adds the simulated accelerator, sized by MemoryBudgets.GPU.
+	EnableGPU bool
 
 	// OpMemBudget is the operation memory: operators with larger
 	// estimates compile to distributed Spark instructions. Defaults to
 	// 7 MB ("7 GB" at scale).
 	OpMemBudget int64
-
-	// CacheBudget is the driver lineage cache size (default 5 MB).
-	CacheBudget int64
-
-	// DisableAsync turns off the prefetch/broadcast operators and
-	// MAXPARALLELIZE ordering that ReuseFull enables by default (MPH-NA).
-	DisableAsync bool
 
 	// Parallelism caps the wall-clock worker fan-out of the dense kernel
 	// layer (matmul, conv, elementwise, Spark partition compute). Zero
@@ -94,19 +85,10 @@ type Options struct {
 	// virtual-time trace — see faults.Default for chaos-mode probabilities.
 	FaultPlan *FaultPlan
 
-	// MemoryBudgets sets explicit per-pool byte budgets for the unified
-	// memory arbiter. Zero fields keep the defaults. Budget precedence
-	// (validated by Options.Validate, which New applies):
-	//
-	//   - CP pool: MemoryBudgets.CP wins over CacheBudget. Setting both to
-	//     different values is a configuration error.
-	//   - GPU pool: MemoryBudgets.GPU wins over GPUCapacity. Setting both
-	//     to different values is a configuration error.
-	//   - Spark: OpMemBudget is the compiler's CP-vs-Spark placement
-	//     threshold, NOT a storage budget; MemoryBudgets.Spark sizes the
-	//     cluster storage region. An OpMemBudget larger than
-	//     MemoryBudgets.Spark is a configuration error (operators placed
-	//     locally up to OpMemBudget bytes could never be checkpointed).
+	// MemoryBudgets sets the per-pool byte budgets of the unified memory
+	// arbiter; zero fields keep the defaults. OpMemBudget is the compiler's
+	// CP-vs-Spark placement threshold, not a storage budget: one larger than
+	// MemoryBudgets.Spark is a configuration error (see Validate).
 	MemoryBudgets MemoryBudgets
 
 	// Fusion enables the compile-time elementwise fusion pass: maximal
@@ -135,19 +117,11 @@ type Options struct {
 	// bitwise-identical to previous releases. See Stats.Calibration.
 	AdaptivePlacement bool
 
-	// CostModel overrides the analytic cost model's calibrated constants
-	// (nil uses the paper's Table-2 defaults, costs.Default). Validate
-	// rejects models with non-positive or non-finite fields. With
-	// AdaptivePlacement this is the immutable base the calibration overlay
-	// refines.
-	CostModel *CostModel
-
 	// MemoryPlanner enables the compile-time memory planner
 	// (internal/memplan): static liveness and peak-memory profiles per
 	// compiled stream, lifetime hints for the arbiter's victim selection,
 	// and budget-bounding rewrites (early frees, row-panel matmul splits,
-	// cache-vs-recompute flips). The planning budget is the CP cache
-	// budget (MemoryBudgets.CP, else CacheBudget, else the default).
+	// cache-vs-recompute flips). The planning budget is MemoryBudgets.CP.
 	// Numeric results are bitwise-identical with the planner on or off.
 	MemoryPlanner bool
 }
@@ -164,14 +138,6 @@ type MemoryBudgets struct {
 	Arena      int64 // buffer-arena retained free bytes, when Arena is set (default 8 MB)
 }
 
-// CostModel is the analytic cost model's constant set (see internal/costs):
-// compute rates, transfer bandwidths, and per-operation overheads, all in
-// virtual seconds. costs.Default() reproduces the paper's Table 2.
-type CostModel = costs.Model
-
-// DefaultCostModel returns the paper's calibrated constants (Table 2).
-func DefaultCostModel() *CostModel { return costs.Default() }
-
 // CalibrationReport is the closed-loop cost model's snapshot: calibration
 // epoch and fingerprint, per-backend observed-vs-base effective rates, and
 // per-operator predicted-vs-observed virtual costs with reuse statistics.
@@ -185,26 +151,15 @@ type FaultPlan = faults.Plan
 // that every recovery path absorbs without failing a run.
 func DefaultFaultPlan(seed int64) *FaultPlan { return faults.Default(seed) }
 
-// Validate checks the Options for conflicting budget settings, returning a
-// descriptive error for the first conflict found. New applies it and defers
-// the error to Run/Lookup; call it directly to fail fast.
+// Validate checks the Options for conflicting budget settings: an
+// OpMemBudget larger than MemoryBudgets.Spark is an error, since operators
+// placed locally up to OpMemBudget bytes could never be checkpointed. New
+// applies it and defers the error to Run/Lookup; call it directly to fail
+// fast.
 func (o Options) Validate() error {
-	if o.CacheBudget > 0 && o.MemoryBudgets.CP > 0 && o.CacheBudget != o.MemoryBudgets.CP {
-		return fmt.Errorf("memphis: CacheBudget (%d) and MemoryBudgets.CP (%d) are both set but differ; set one, or set both equal (MemoryBudgets.CP takes precedence)",
-			o.CacheBudget, o.MemoryBudgets.CP)
-	}
-	if o.GPUCapacity > 0 && o.MemoryBudgets.GPU > 0 && o.GPUCapacity != o.MemoryBudgets.GPU {
-		return fmt.Errorf("memphis: GPUCapacity (%d) and MemoryBudgets.GPU (%d) are both set but differ; set one, or set both equal (MemoryBudgets.GPU takes precedence)",
-			o.GPUCapacity, o.MemoryBudgets.GPU)
-	}
 	if o.OpMemBudget > 0 && o.MemoryBudgets.Spark > 0 && o.OpMemBudget > o.MemoryBudgets.Spark {
 		return fmt.Errorf("memphis: OpMemBudget (%d) exceeds MemoryBudgets.Spark (%d); operators compiled locally under OpMemBudget could never fit the cluster storage region",
 			o.OpMemBudget, o.MemoryBudgets.Spark)
-	}
-	if o.CostModel != nil {
-		if err := o.CostModel.Validate(); err != nil {
-			return fmt.Errorf("memphis: CostModel: %w", err)
-		}
 	}
 	return nil
 }
@@ -230,9 +185,6 @@ func runtimeConfig(opts Options) runtime.Config {
 	}
 	comp.GPUEnabled = opts.EnableGPU
 	cache := core.DefaultConfig()
-	if opts.CacheBudget > 0 {
-		cache.CPBudget = opts.CacheBudget
-	}
 	if opts.MemoryBudgets.CP > 0 {
 		cache.CPBudget = opts.MemoryBudgets.CP
 	}
@@ -254,7 +206,7 @@ func runtimeConfig(opts Options) runtime.Config {
 	case ReuseFull:
 		mode = runtime.ReuseMemphis
 	}
-	if (opts.Reuse == ReuseFull || opts.Reuse == ReuseFine) && !opts.DisableAsync {
+	if opts.Reuse == ReuseFull || opts.Reuse == ReuseFine {
 		comp.Async = true
 		comp.MaxParallelize = true
 		comp.CheckpointInjection = true
@@ -262,10 +214,7 @@ func runtimeConfig(opts Options) runtime.Config {
 	gcap := int64(0)
 	pol := gpu.PolicyNone
 	if opts.EnableGPU {
-		gcap = opts.GPUCapacity
-		if opts.MemoryBudgets.GPU > 0 {
-			gcap = opts.MemoryBudgets.GPU
-		}
+		gcap = opts.MemoryBudgets.GPU
 		if gcap == 0 {
 			gcap = 48 << 20
 		}
@@ -295,7 +244,6 @@ func runtimeConfig(opts Options) runtime.Config {
 		MemPlan:     plan,
 		Arena:       opts.Arena,
 		ArenaBudget: opts.MemoryBudgets.Arena,
-		Model:       opts.CostModel,
 		Adaptive:    opts.AdaptivePlacement,
 	}
 }
@@ -486,53 +434,15 @@ type (
 
 // ServerOptions configures NewServer. The embedded Options template shapes
 // every per-request session (reuse mode, budgets, backends), exactly as New
-// would build it.
+// would build it. The serving mechanisms — fair scheduling, shared-cache
+// budgets and shards, admission bounds, deadlines, retries, shedding,
+// coalescing, degraded shards — are configured on serve.Config, which
+// memphis-serve exposes as flags.
 type ServerOptions struct {
 	Options
 
 	// Workers is the worker-pool size (default 4).
 	Workers int
-	// FairScheduling selects weighted-fair queueing across tenants
-	// instead of FIFO dispatch.
-	FairScheduling bool
-	// SharedBudget is the cross-tenant cache's global byte budget
-	// (default 64 MB); TenantBudget caps one tenant's share (default
-	// SharedBudget/8). Keeping the sum of tenant shares within the global
-	// budget preserves deterministic per-tenant virtual latencies.
-	SharedBudget int64
-	TenantBudget int64
-	// SharedShards is the shared cache's lock-shard count (default 8).
-	SharedShards int
-	// MaxQueue and MaxPerTenant bound admission (defaults 1024 and 64).
-	MaxQueue     int
-	MaxPerTenant int
-
-	// Deadline, when positive, fails requests whose virtual latency
-	// (execution plus retry backoff) exceeds it, with serve.ErrDeadline.
-	Deadline float64
-	// MaxRetries is how many times a failed attempt is retried before the
-	// request fails (default 2; negative disables retries). RetryBackoff is
-	// the base of the per-retry exponential virtual-time backoff (default
-	// 0.05 s).
-	MaxRetries   int
-	RetryBackoff float64
-	// ShedThreshold, when positive, sheds new submissions with
-	// serve.ErrOverloaded once the queue reaches this depth.
-	ShedThreshold int
-
-	// Coalesce enables batched admission: submissions resolving to the
-	// same compiled plan over the same inputs and fetch set join the
-	// in-flight request's coalesce group — one execution fans out
-	// independent result copies to all of them. CoalesceWindow (tickets,
-	// default 256) and MaxBatch (group size cap, default 64) bound a
-	// group. See serve.Config for the follower latency rule.
-	Coalesce       bool
-	CoalesceWindow uint64
-	MaxBatch       int
-	// DisabledShards starts the listed shared-cache shards degraded: probes
-	// miss and publishes are rejected, so sessions recompute instead of
-	// failing.
-	DisabledShards []int
 }
 
 // NewServer starts a serving layer whose per-request sessions are built
@@ -544,52 +454,18 @@ func NewServer(opts ServerOptions) *Server {
 	if err := opts.Validate(); err != nil {
 		panic(err)
 	}
-	conf := serve.DefaultConfig()
-	conf.Runtime = runtimeConfig(opts.Options)
+	rt := runtimeConfig(opts.Options)
 	// Adaptive placement is a session-lifetime feature: calibration needs a
 	// persistent observation stream, but the server builds a fresh session
 	// per request, so each would recalibrate from scratch — epoch churn in
 	// compile-cache keys with nothing learned. The serving layer's shared
 	// cache still records reuse tallies (SharedStats.Reuse).
-	conf.Runtime.Adaptive = false
-	if opts.Workers > 0 {
-		conf.Workers = opts.Workers
-	}
-	if opts.FairScheduling {
-		conf.Sched = serve.SchedWFQ
-	}
-	conf.Shared.Budget = opts.SharedBudget
-	conf.Shared.TenantBudget = opts.TenantBudget
-	conf.Shared.Shards = opts.SharedShards
-	if opts.MaxQueue > 0 {
-		conf.MaxQueue = opts.MaxQueue
-	}
-	if opts.MaxPerTenant > 0 {
-		conf.MaxPerTenant = opts.MaxPerTenant
-	}
-	conf.Rewrite = opts.Reuse == ReuseFull
+	rt.Adaptive = false
 	// The serving layer owns fault injection per request attempt; the
 	// runtime template must not also carry the plan or each session would
 	// replay one fixed stream.
-	conf.Faults = opts.FaultPlan
-	conf.Runtime.Faults = nil
-	conf.Deadline = opts.Deadline
-	if opts.MaxRetries != 0 {
-		conf.MaxRetries = opts.MaxRetries
-	}
-	if opts.RetryBackoff > 0 {
-		conf.RetryBackoff = opts.RetryBackoff
-	}
-	conf.ShedThreshold = opts.ShedThreshold
-	conf.DisabledShards = opts.DisabledShards
-	conf.Coalesce = opts.Coalesce
-	if opts.CoalesceWindow > 0 {
-		conf.CoalesceWindow = opts.CoalesceWindow
-	}
-	if opts.MaxBatch > 0 {
-		conf.MaxBatch = opts.MaxBatch
-	}
-	return serve.New(conf)
+	rt.Faults = nil
+	return serve.New(serve.Config{Runtime: rt, Workers: opts.Workers, Faults: opts.FaultPlan})
 }
 
 // NewSessionFor creates an interactive Session attached to a server's

@@ -339,6 +339,61 @@ func TestMemoryBudgetsAndStats(t *testing.T) {
 	}
 }
 
+// TestOptionsBudgets covers the facade's budget surface: MemoryBudgets.CP
+// and MemoryBudgets.GPU size the cp and gpu pools (48 MB device by default
+// with EnableGPU), and an OpMemBudget above MemoryBudgets.Spark is rejected —
+// deferred to Run and Lookup by New, a panic in NewServer.
+func TestOptionsBudgets(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		opts    Options
+		wantErr bool
+		pool    string
+		budget  int64
+	}{
+		{name: "cp default", opts: Options{}, pool: "cp", budget: 16 << 20},
+		{name: "cp budget", opts: Options{MemoryBudgets: MemoryBudgets{CP: 1 << 20}}, pool: "cp", budget: 1 << 20},
+		{name: "gpu default", opts: Options{EnableGPU: true}, pool: "gpu", budget: 48 << 20},
+		{name: "gpu budget", opts: Options{EnableGPU: true, MemoryBudgets: MemoryBudgets{GPU: 8 << 20}}, pool: "gpu", budget: 8 << 20},
+		{name: "op budget above spark", opts: Options{OpMemBudget: 2 << 20, MemoryBudgets: MemoryBudgets{Spark: 1 << 20}}, wantErr: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.opts.Validate(); (err != nil) != tc.wantErr {
+				t.Fatalf("Validate() = %v, want error %v", err, tc.wantErr)
+			}
+			s := New(tc.opts)
+			defer s.Close()
+			bindInputs(s)
+			runErr := s.Run(ridgeProgram([]float64{0.5}))
+			_, lookupErr := s.Lookup("X")
+			if tc.wantErr {
+				if runErr == nil || lookupErr == nil {
+					t.Fatalf("Run = %v, Lookup = %v; want the Validate error from both", runErr, lookupErr)
+				}
+				defer func() {
+					if recover() == nil {
+						t.Fatal("NewServer must panic on invalid options")
+					}
+				}()
+				NewServer(ServerOptions{Options: tc.opts}).Close()
+				return
+			}
+			if runErr != nil || lookupErr != nil {
+				t.Fatalf("Run = %v, Lookup = %v", runErr, lookupErr)
+			}
+			for _, p := range s.MemoryStats() {
+				if p.Name == tc.pool {
+					if p.Budget != tc.budget {
+						t.Fatalf("%s budget = %d, want %d", tc.pool, p.Budget, tc.budget)
+					}
+					return
+				}
+			}
+			t.Fatalf("no %q row in MemoryStats", tc.pool)
+		})
+	}
+}
+
 // TestSessionRunRewritesOnce: the ReuseFull program-level rewrites mutate
 // the program and are not idempotent, so running one program three times on
 // one session must rewrite it once — the block count stays constant — and
